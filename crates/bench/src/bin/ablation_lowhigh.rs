@@ -15,7 +15,7 @@ use bcc_graph::{gen, Csr, Edge, Graph};
 use bcc_smp::Pool;
 
 fn prepared(g: &Graph, pool: &Pool) -> (Vec<Edge>, Vec<bool>, bcc_euler::TreeInfo, u32) {
-    let csr = Csr::build_par(pool, g);
+    let csr = Csr::build(g);
     let bfs = bfs_tree_par(pool, &csr, 0);
     assert_eq!(bfs.reached, g.n());
     let mut is_tree = vec![false; g.m()];

@@ -52,7 +52,7 @@ fn main() {
 
         // BFS and traversal need adjacency: charge the conversion.
         let bfs = time_median(opts.runs, || {
-            let csr = Csr::build_par(&pool, &g);
+            let csr = Csr::build(&g);
             let t = bfs_tree_par(&pool, &csr, 0);
             std::hint::black_box(t.reached);
         });
@@ -63,7 +63,7 @@ fn main() {
         );
 
         let ws = time_median(opts.runs, || {
-            let csr = Csr::build_par(&pool, &g);
+            let csr = Csr::build(&g);
             let t = work_stealing_tree(&pool, &csr, 0);
             std::hint::black_box(t.reached);
         });

@@ -71,7 +71,7 @@ pub(crate) fn fast_bcc_impl(
 
     // Adjacency conversion is shared input preparation (kept out of the
     // Spanning-tree step for the same reason as TV-filter).
-    let csr = Csr::build_par(pool, g);
+    let csr = Csr::build(g);
 
     // Step 1: BFS skeleton T.
     let root = 0u32;

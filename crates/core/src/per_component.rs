@@ -58,7 +58,7 @@ pub(crate) fn run_per_component(
 
     // Partition edges by component. The nested per-subgraph vectors
     // stay plain: their count and sizes vary by input and the subgraph
-    // edge lists are consumed by `Graph::new` below.
+    // edge lists are consumed by `GraphBuilder` below.
     let mut sub_edges: Vec<Vec<Edge>> = vec![Vec::new(); k];
     let mut sub_orig: Vec<Vec<u32>> = vec![Vec::new(); k];
     for (i, e) in g.edges().iter().enumerate() {

@@ -427,7 +427,7 @@ fn tv_opt_impl(
     // (per-thread deques, atomics) and are not arena-threaded.
     let root = 0u32;
     let st = rec.step(Step::SpanningTree, || {
-        let csr = Csr::build_par(pool, g);
+        let csr = Csr::build(g);
         work_stealing_tree(pool, &csr, root)
     });
     if st.reached != n {
@@ -502,7 +502,7 @@ fn tv_filter_impl(
     // strategy: keep it out of the Spanning-tree step so the ablation
     // columns compare traversals, not CSR construction (it still counts
     // toward `total`).
-    let csr = Csr::build_par(pool, g);
+    let csr = Csr::build(g);
 
     // Step 1: BFS spanning tree T (Lemma 1 requires a BFS tree).
     let root = 0u32;

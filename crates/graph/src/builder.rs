@@ -1,12 +1,9 @@
 //! [`GraphBuilder`] — the one construction path for in-memory graphs,
 //! with an explicit validation policy.
 //!
-//! The old surface (`Graph::new`, `Graph::from_tuples`,
-//! `Graph::from_edges_lenient`, panicking on bad input in two of three
-//! cases and silently normalizing in the third) collapsed into this
-//! builder: **strict** (the default) returns an error for any
-//! out-of-range endpoint or self loop and preserves the edge list as
-//! given; **lenient** drops self loops, normalizes orientation, and
+//! **Strict** (the default) returns an error for any out-of-range
+//! endpoint or self loop and preserves the edge list as given;
+//! **lenient** drops self loops, normalizes orientation, and
 //! deduplicates — the policy raw public edge lists need — while still
 //! erroring on endpoints `>= n`.
 

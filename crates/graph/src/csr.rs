@@ -6,18 +6,17 @@
 //! each arc so per-edge results (biconnected-component labels) can be
 //! written back to the edge list the pipeline started from.
 //!
-//! Converting the edge list into CSR is itself one of the representation
-//! conversions whose cost the paper calls out, so the parallel builder
-//! is instrumented-friendly: counting, a prefix sum over degrees, and an
-//! atomic-cursor scatter. A *mapped* graph skips the conversion
-//! entirely — `.bccsr` files carry the adjacency arrays on disk, and
-//! [`Csr::build`] on one is an `Arc` clone of the mapping.
+//! Converting the edge list into CSR is one of the representation
+//! conversions whose cost the paper calls out. [`Csr::build`] is the one
+//! builder, and it is sequential: a degree count, a prefix sum and a
+//! single packed scatter, which beat an atomic-cursor parallel scatter
+//! at every size measured on 2 cores. A *mapped* graph skips the
+//! conversion entirely — `.bccsr` files carry the adjacency arrays on
+//! disk, and [`Csr::build`] on one is an `Arc` clone of the mapping.
 
 use crate::bccsr::MappedCsr;
 use crate::edge::{Graph, GraphData};
-use bcc_smp::atomic::as_atomic_u32;
-use bcc_smp::{Pool, SharedSlice};
-use std::sync::atomic::Ordering;
+use bcc_smp::Pool;
 use std::sync::Arc;
 
 /// Adjacency structure: for each vertex, a slice of `(neighbor, edge id)`
@@ -92,94 +91,11 @@ impl Csr {
         }
     }
 
-    /// Parallel build: parallel degree counting (atomic increments), a
-    /// prefix sum over degrees, and an atomic-cursor scatter. Mapped
-    /// graphs short-circuit exactly as in [`Csr::build`].
-    ///
-    /// Neighbor order within a vertex is nondeterministic across thread
-    /// counts; algorithms in this workspace never depend on it (and the
-    /// test suite checks they don't).
-    pub fn build_par(pool: &Pool, g: &Graph) -> Self {
-        let n = g.n() as usize;
-        let m = g.m();
-        if g.is_mapped() || pool.threads() == 1 || m < 1 << 14 {
-            return Csr::build(g);
-        }
-        let edges = g.edges();
-
-        // Degree counting with atomic adds.
-        let mut deg = vec![0u32; n];
-        {
-            let deg_a = as_atomic_u32(&mut deg);
-            pool.run(|ctx| {
-                for i in ctx.block_range(m) {
-                    let e = edges[i];
-                    deg_a[e.u as usize].fetch_add(1, Ordering::Relaxed);
-                    deg_a[e.v as usize].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-        // Offsets by prefix sum.
-        let mut offsets = vec![0usize; n + 1];
-        {
-            let off_s = SharedSlice::new(&mut offsets);
-            let deg_ro: &[u32] = &deg;
-            pool.run(|ctx| {
-                for v in ctx.block_range(n) {
-                    unsafe { off_s.write(v + 1, deg_ro[v] as usize) };
-                }
-            });
-        }
-        // Scan offsets[1..=n] in place.
-        bcc_primitives::scan::inclusive_scan_par(pool, &mut offsets[1..]);
-
-        // Scatter with atomic cursors into one packed u64 per arc (a
-        // single random write stream), then unpack sequentially in
-        // parallel blocks.
-        let mut cursor: Vec<u32> = vec![0u32; n];
-        let mut packed = vec![0u64; 2 * m];
-        {
-            let cur_a = as_atomic_u32(&mut cursor);
-            let packed_s = SharedSlice::new(&mut packed);
-            let offsets_ro: &[usize] = &offsets;
-            pool.run(|ctx| {
-                for i in ctx.block_range(m) {
-                    let e = edges[i];
-                    let su = cur_a[e.u as usize].fetch_add(1, Ordering::Relaxed) as usize;
-                    let pu = offsets_ro[e.u as usize] + su;
-                    // SAFETY: the atomic cursor hands each slot to one
-                    // thread exactly once.
-                    unsafe { packed_s.write(pu, ((e.v as u64) << 32) | i as u64) };
-                    let sv = cur_a[e.v as usize].fetch_add(1, Ordering::Relaxed) as usize;
-                    let pv = offsets_ro[e.v as usize] + sv;
-                    unsafe { packed_s.write(pv, ((e.u as u64) << 32) | i as u64) };
-                }
-            });
-        }
-        let mut adj = vec![0u32; 2 * m];
-        let mut eid = vec![0u32; 2 * m];
-        {
-            let adj_s = SharedSlice::new(&mut adj);
-            let eid_s = SharedSlice::new(&mut eid);
-            let packed_ro: &[u64] = &packed;
-            pool.run(|ctx| {
-                for k in ctx.block_range(2 * m) {
-                    let p = packed_ro[k];
-                    unsafe {
-                        adj_s.write(k, (p >> 32) as u32);
-                        eid_s.write(k, p as u32);
-                    }
-                }
-            });
-        }
-        Csr {
-            repr: CsrRepr::Owned {
-                n: g.n(),
-                offsets,
-                adj,
-                eid,
-            },
-        }
+    /// Forwards to [`Csr::build`]; kept only for callers outside this
+    /// workspace that still pass a pool.
+    #[deprecated(note = "use `Csr::build`")]
+    pub fn build_par(_pool: &Pool, g: &Graph) -> Self {
+        Csr::build(g)
     }
 
     /// Number of vertices.
@@ -276,22 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_sequential_as_sets() {
-        use crate::gen;
-        let g = gen::random_connected(2000, 8000, 42);
-        let seq = Csr::build(&g);
-        for p in [1, 2, 4] {
-            let pool = Pool::new(p);
-            let par = Csr::build_par(&pool, &g);
-            assert_eq!(par.n(), seq.n());
-            assert_eq!(par.m(), seq.m());
-            for v in 0..g.n() {
-                assert_eq!(sorted_arcs(&par, v), sorted_arcs(&seq, v), "v={v}");
-            }
-        }
-    }
-
-    #[test]
     fn empty_and_isolated_vertices() {
         let g = GraphBuilder::new(4).edge(1, 2).build().unwrap();
         let csr = Csr::build(&g);
@@ -332,9 +232,6 @@ mod tests {
         let owned = Csr::build(&g);
         let mapped = Csr::build(&mg);
         assert!(mapped.is_mapped() && !owned.is_mapped());
-        let pool = Pool::new(4);
-        let mapped_par = Csr::build_par(&pool, &mg);
-        assert!(mapped_par.is_mapped());
         for v in 0..g.n() {
             assert_eq!(sorted_arcs(&mapped, v), sorted_arcs(&owned, v), "v={v}");
             assert_eq!(mapped.degree(v), owned.degree(v));

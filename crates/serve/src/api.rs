@@ -1,11 +1,9 @@
 //! The daemon's typed request surface — and the wire format's data
 //! model.
 //!
-//! PR 6 grew the daemon three loose entry points (`submit_query`,
-//! `submit_query_at`, `submit_update`) whose error channel was "here
-//! is your value back", indistinguishable between a full queue and a
-//! daemon mid-shutdown. This module replaces that surface with one
-//! enum pair:
+//! Every rejection is typed, so a full queue and a daemon mid-shutdown
+//! are different errors rather than the same "here is your value
+//! back". The surface is one enum pair:
 //!
 //! * [`Request`] — everything a client can ask, tagged with a caller
 //!   chosen correlation id. The same type is submitted in-process

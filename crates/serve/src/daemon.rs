@@ -566,29 +566,6 @@ impl Daemon {
         })
     }
 
-    /// Enqueues a query arriving *now*; blocks while the query queue
-    /// is full. `Err` after shutdown began.
-    #[deprecated(note = "use Daemon::submit(Request::Query { .. })")]
-    pub fn submit_query(&self, query: Query) -> Result<(), Query> {
-        self.submit(Request::Query { id: 0, query })
-            .map_err(|_| query)
-    }
-
-    /// Enqueues a query with an explicit arrival stamp.
-    #[deprecated(note = "use Daemon::submit_at(Request::Query { .. }, issued)")]
-    pub fn submit_query_at(&self, query: Query, issued: Instant) -> Result<(), Query> {
-        self.submit_at(Request::Query { id: 0, query }, issued)
-            .map_err(|_| query)
-    }
-
-    /// Enqueues an edge update for the writers; blocks while the
-    /// target queue is full. `Err` after shutdown began.
-    #[deprecated(note = "use Daemon::submit(Request::Update { .. })")]
-    pub fn submit_update(&self, update: EdgeUpdate) -> Result<(), EdgeUpdate> {
-        self.submit(Request::Update { id: 0, update })
-            .map_err(|_| update)
-    }
-
     /// Queries waiting in the queue right now.
     pub fn queued_queries(&self) -> usize {
         self.queries.len()

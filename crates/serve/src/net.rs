@@ -41,8 +41,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long a connection read waits before re-checking the shutdown
-/// flag (only between frames; mid-frame reads keep waiting so a slow
-/// peer cannot desynchronize the stream).
+/// flag, between frames and inside one.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Encodes `resp` as one `[len][payload]` buffer and writes it in a
@@ -153,7 +152,7 @@ fn connection_loop(stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) {
     loop {
         let payload = match read_frame_polling(&mut read_half, || stop.load(Ordering::Acquire)) {
             Ok(Some(p)) => p,
-            Ok(None) => return, // clean EOF or shutdown between frames
+            Ok(None) => return, // clean EOF, or shutdown (a half-read frame is dropped)
             Err(_) => return,   // truncated / oversized / io: drop the peer
         };
         match wire::decode_request(&payload) {
@@ -208,10 +207,11 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// [`wire::read_frame`] adapted to a read-timeout socket: between
-/// frames a timeout re-checks `stop`; *inside* a frame timeouts keep
-/// waiting (abandoning a half-read frame would desynchronize the
-/// stream).
+/// [`wire::read_frame`] adapted to a read-timeout socket: every
+/// timeout re-checks `stop`. Once shutdown begins, a half-read frame is
+/// dropped and `Ok(None)` closes the connection, so a peer that sent
+/// part of a frame and stalled cannot hold up
+/// [`NetFrontend::shutdown`].
 fn read_frame_polling(
     r: &mut TcpStream,
     stop: impl Fn() -> bool,
@@ -230,7 +230,7 @@ fn read_frame_polling(
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) if is_timeout(&e) => {
-                if filled == 0 && stop() {
+                if stop() {
                     return Ok(None);
                 }
             }
@@ -247,7 +247,12 @@ fn read_frame_polling(
         match r.read(&mut payload[filled..]) {
             Ok(0) => return Err(WireError::TruncatedFrame),
             Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted || is_timeout(&e) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if is_timeout(&e) => {
+                if stop() {
+                    return Ok(None);
+                }
+            }
             Err(e) => return Err(WireError::Io(e)),
         }
     }
