@@ -83,7 +83,10 @@ fn main() {
             print!("{:>12}", st.effective_edges);
         }
         println!();
-        print!("  {:<6}", "aux V/E");
+        // Auxiliary graph: one vertex per tree edge (n) / edges from
+        // R'_c conditions 2 and 3. Condition 1 only hangs a pendant
+        // vertex per nontree edge, so it is contracted away.
+        print!("  {:<6}", "aux n/E");
         for st in &stat_sets {
             print!("{:>17}", format!("{}/{}", st.aux_vertices, st.aux_edges));
         }

@@ -54,7 +54,7 @@ fn main() {
                 let r = BccConfig::new(alg).run(&pool, &g).unwrap().result;
                 assert_eq!(r.edge_comp, seq.edge_comp, "{} must agree", alg.name());
                 println!(
-                    "  {:<11} {:>10}   p={p:<2} effective m = {:>9}  aux = {}/{}",
+                    "  {:<11} {:>10}   p={p:<2} effective m = {:>9}  aux n/E = {}/{}",
                     alg.name(),
                     fmt_dur(r.phases.total),
                     r.stats.effective_edges,

@@ -1297,6 +1297,17 @@ fn run_algorithm_cells(
         .map(|_| Vec::with_capacity(trials))
         .collect();
     let mut trial_peaks: Vec<Vec<u64>> = vec![vec![]; cells.len()];
+    // One untimed Sequential pass per family before round 1. Its
+    // Sequential cell leads the family, so it would otherwise run cold
+    // (first touch of the graph's pages) and inflate every speedup
+    // derived from it.
+    if let Some(pool) = pools.first() {
+        for (family, g) in &graphs {
+            BccConfig::new(Algorithm::Sequential)
+                .run(pool, g)
+                .unwrap_or_else(|e| panic!("Sequential warm-up on {}: {e}", family.name()));
+        }
+    }
     for round in 0..trials {
         for (i, cell) in cells.iter().enumerate() {
             let (family, g) = &graphs[cell.fam];

@@ -11,12 +11,13 @@
 //!
 //! **FastSV** ([`SvVariant::FastSv`]): each edge is resolved *completely*
 //! in a single sweep — chase both endpoints to their roots (compacting
-//! the paths walked with `fetch_min` as we go), hook the higher root
-//! onto the lower by CAS, and on a lost race re-chase and retry instead
-//! of deferring to a next round. A lost CAS means another thread merged
-//! that root, so total retries are bounded by the n − 1 possible merges;
-//! after one sweep plus a flattening pass the labeling is final — no
-//! verification round, `rounds == 1` whenever there are edges.
+//! the paths walked with `fetch_min`, writing only slots still above
+//! the root), hook the higher root onto the lower by CAS, and on a lost
+//! race re-chase and retry instead of deferring to a next round. A lost
+//! CAS means another thread merged that root, so total retries are
+//! bounded by the n − 1 possible merges; after one sweep plus a
+//! flattening pass the labeling is final — no verification round,
+//! `rounds == 1` whenever there are edges.
 //!
 //! Both variants share the soundness argument: labels only decrease
 //! (grafts hook higher roots onto lower labels, compaction writes a
@@ -335,27 +336,30 @@ fn find_root(label: &[AtomicU32], v: u32) -> u32 {
     }
 }
 
-/// [`find_root`] plus aggressive path-shortcutting: every non-root slot
-/// on the walked chain is lowered toward the discovered root with
+/// [`find_root`] plus path-shortcutting: every slot on the walked chain
+/// whose label is still above the discovered root is lowered to it with
 /// `fetch_min`, so later chases through the same region are O(1)-ish.
 ///
-/// Only slots *observed* to be non-roots are written (a slot whose label
-/// has ever dropped below its index can never become a root again), and
-/// `fetch_min` keeps labels monotonically decreasing, so root slots are
-/// never clobbered and grafting's CAS/forest-recording invariants hold.
+/// A slot that already holds the root (or less, after a concurrent
+/// graft) is only read: once paths are short that is nearly every
+/// slot, and skipping the locked write keeps its cache line shared
+/// between cores. Root slots are never written: grafts hook the higher
+/// root onto the lower, so a tree's root is its minimum and any root
+/// still on the chain is at most the discovered one. `fetch_min` keeps
+/// labels monotonically decreasing, so grafting's CAS/forest-recording
+/// invariants hold.
 #[inline]
 fn find_root_compact(label: &[AtomicU32], v: u32) -> u32 {
     let root = find_root(label, v);
     let mut x = v;
-    while x != root {
+    loop {
         let d = label[x as usize].load(Ordering::Acquire);
-        if d == x {
-            break; // x is (still) a root; never write root slots
+        if d <= root {
+            return root;
         }
         label[x as usize].fetch_min(root, Ordering::AcqRel);
         x = d;
     }
-    root
 }
 
 /// Relabels `label` so components are numbered `0..k` in order of their

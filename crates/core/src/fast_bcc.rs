@@ -28,11 +28,12 @@
 //!    level sweep (the auto heuristic may pick the O(n log n) table on
 //!    deep trees, which would break the space bound; the sweep's
 //!    O(depth) rounds are the documented trade).
-//! 5. **Placement** — every edge outside the certificate is a nontree
-//!    edge of T, and aux-graph condition 1 links each nontree edge's
-//!    larger-preorder endpoint x to that edge's aux vertex, so after
-//!    connectivity `aux_label[x]` *is* its component: placement is O(1)
-//!    per edge with zero O(m) scratch.
+//! 5. **Placement** — the tail's auxiliary graph has one vertex per
+//!    tree edge; aux-graph condition 1 would hang each nontree edge's
+//!    vertex off the tree edge of its larger-preorder endpoint x, so
+//!    `aux_label[x]` *is* that edge's component. Every input edge —
+//!    tree (x is its child), certificate-F or filtered — is placed by
+//!    that one rule: O(1) per edge with zero O(m) scratch.
 //!
 //! Peak auxiliary space is therefore O(n): the BFS arrays, the tree
 //! tags, the certificate, low/high, and the aux graph are all a few
@@ -43,14 +44,14 @@
 
 use crate::low_high::LowHighMethod;
 use crate::phase::{PhaseRecorder, PipelineStats, Step};
-use crate::pipeline::{finalize, trivial_result, tv_tail, BccError, BccResult};
+use crate::pipeline::{certificate, finalize, trivial_result, tv_tail, BccError, BccResult};
 use bcc_connectivity::bfs::bfs_tree_ws;
 use bcc_connectivity::sv::connected_components_masked_with_ws;
 use bcc_connectivity::tuning::TraversalTuning;
 use bcc_connectivity::BfsDirection;
 use bcc_euler::bfs_tree_info_ws;
-use bcc_graph::{Csr, Edge, Graph};
-use bcc_smp::{BccWorkspace, Pool, SharedSlice, NIL};
+use bcc_graph::{Csr, Graph};
+use bcc_smp::{BccWorkspace, Pool};
 use std::time::Instant;
 
 /// The FAST-BCC pipeline on a connected graph (dispatched from
@@ -99,7 +100,6 @@ pub(crate) fn fast_bcc_impl(
     // setting; the parallels are placed by the condition-1 rule below,
     // which gives each exactly its tree twin's label.
     let parent: &[u32] = &bfs.parent;
-    let parent_eid: &[u32] = &bfs.parent_eid;
     let (cert_edges, cert_is_tree, forest_rounds) = rec.step(Step::Filtering, || {
         let edges = g.edges();
         let forest = connected_components_masked_with_ws(
@@ -113,25 +113,16 @@ pub(crate) fn fast_bcc_impl(
             tuning.sv,
             ws,
         );
-        let mut cert_edges: Vec<Edge> = ws.take(2 * n as usize);
-        let mut cert_is_tree: Vec<bool> = ws.take(2 * n as usize);
-        for v in 0..n {
-            let eid = parent_eid[v as usize];
-            if eid != NIL {
-                cert_edges.push(edges[eid as usize]);
-                cert_is_tree.push(true);
-            }
-        }
-        for &i in &forest.tree_edges {
-            cert_edges.push(edges[i as usize]);
-            cert_is_tree.push(false);
-        }
+        let forest_edges = forest.tree_edges.iter().map(|&i| edges[i as usize]);
+        let (cert_edges, cert_is_tree) = certificate(parent, root, forest_edges, ws);
         let forest_rounds = forest.rounds;
         forest.recycle(ws);
         (cert_edges, cert_is_tree, forest_rounds)
     });
 
-    // Steps 4–6 on the certificate, low/high pinned to the level sweep.
+    // Steps 4–6 on the certificate, low/high pinned to the level sweep,
+    // then placement: every input edge — tree, certificate-F and
+    // filtered alike — takes its larger-preorder endpoint's label.
     let tail = tv_tail(
         pool,
         n,
@@ -142,37 +133,9 @@ pub(crate) fn fast_bcc_impl(
         LowHighMethod::LevelSweep,
         ws,
         rec,
+        g.edges(),
+        Step::Filtering,
     );
-
-    // Placement: tree edges take their child endpoint's aux label;
-    // every other edge — certificate-F and filtered alike — takes its
-    // larger-preorder endpoint's (condition 1 ties that aux vertex to
-    // the edge's own). `comp` escapes as the result, so it is allocated
-    // plain rather than from the workspace.
-    let mut comp = vec![0u32; m];
-    rec.step(Step::Filtering, || {
-        let comp_s = SharedSlice::new(&mut comp);
-        let aux: &[u32] = &tail.aux_vertex_labels;
-        let pre = &info.preorder;
-        pool.run(|ctx| {
-            for i in ctx.block_range(m) {
-                let e = g.edges()[i];
-                let child = if parent_eid[e.u as usize] == i as u32 {
-                    e.u
-                } else if parent_eid[e.v as usize] == i as u32 {
-                    e.v
-                } else {
-                    // Nontree: deeper (larger-preorder) endpoint.
-                    if pre[e.u as usize] > pre[e.v as usize] {
-                        e.u
-                    } else {
-                        e.v
-                    }
-                };
-                unsafe { comp_s.write(i, aux[child as usize]) };
-            }
-        });
-    });
 
     let stats = PipelineStats {
         input_edges: m,
@@ -198,11 +161,12 @@ pub(crate) fn fast_bcc_impl(
     bfs.recycle(ws);
     ws.give(cert_edges);
     ws.give(cert_is_tree);
-    // `tail.edge_labels` (per-certificate-edge labels) is superseded by
-    // the placement pass; it is a plain allocation, so drop it.
-    drop(tail.edge_labels);
-    ws.give(tail.aux_vertex_labels);
-    Ok(finalize(comp, rec.phases().clone(), stats, start))
+    Ok(finalize(
+        tail.edge_labels,
+        rec.phases().clone(),
+        stats,
+        start,
+    ))
 }
 
 #[cfg(test)]

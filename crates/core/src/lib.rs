@@ -48,7 +48,10 @@ pub mod schmidt;
 pub mod tarjan;
 pub mod verify;
 
-pub use aux_graph::{build_aux_graph, build_aux_graph_fused, build_aux_graph_fused_ws, AuxGraph};
+pub use aux_graph::{
+    build_aux_graph, build_aux_graph_fused, build_aux_graph_fused_ws, larger_preorder_endpoint,
+    AuxGraph,
+};
 pub use block_cut::{two_edge_connected_components, BlockCutTree};
 pub use counting::double_bfs_upper_bound;
 pub use low_high::{

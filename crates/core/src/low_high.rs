@@ -301,9 +301,13 @@ fn low_high_level_sweep(
         });
     }
 
-    // Bucket vertices by depth (counting sort).
+    // Bucket vertices by depth (counting sort). Both depth-indexed
+    // buffers request the bound n + 1 (depth < n), not max_depth + 2:
+    // depth varies with a racily chosen spanning tree, and a varying
+    // request would flake the zero-miss steady state across reruns.
     let max_depth = info.depth.iter().copied().max().unwrap_or(0) as usize;
-    let mut bucket_of = alloc_filled(ws, max_depth + 2, 0u32);
+    let mut bucket_of: Vec<u32> = alloc_cap(ws, n + 1);
+    bucket_of.resize(max_depth + 2, 0);
     for &d in &info.depth {
         bucket_of[d as usize + 1] += 1;
     }
@@ -312,7 +316,7 @@ fn low_high_level_sweep(
     }
     let mut by_level = alloc_filled(ws, n, 0u32);
     {
-        let mut cursor: Vec<u32> = alloc_cap(ws, bucket_of.len());
+        let mut cursor: Vec<u32> = alloc_cap(ws, n + 1);
         cursor.extend_from_slice(&bucket_of);
         for v in 0..n as u32 {
             let d = info.depth[v as usize] as usize;

@@ -146,7 +146,9 @@ pub struct PipelineStats {
     pub effective_edges: usize,
     /// Edges removed by filtering (TV-filter only).
     pub filtered_edges: usize,
-    /// Vertices of the auxiliary graph (n + nontree edges considered).
+    /// Vertices of the auxiliary graph: n, one per tree edge (the
+    /// root's slot stays isolated). Nontree edges get no vertex of their
+    /// own; condition 1 places each with its larger-preorder endpoint.
     pub aux_vertices: u32,
     /// Edges of the auxiliary graph (|R'_c| — the paper's Fig. 1
     /// quantity).

@@ -26,7 +26,7 @@
 //! assert!(run.report.step_sum() <= run.report.total);
 //! ```
 
-use crate::aux_graph::build_aux_graph_fused_ws;
+use crate::aux_graph::{build_aux_graph_fused_ws, larger_preorder_endpoint};
 use crate::low_high::{compute_low_high_with_ws, LowHighMethod};
 use crate::phase::{PhaseRecorder, PhaseReport, PhaseTimes, PipelineStats, Step};
 use crate::tarjan::tarjan_bcc;
@@ -387,11 +387,12 @@ fn tv_smp_impl(
         LowHighMethod::Auto,
         ws,
         rec,
+        g.edges(),
+        Step::ConnectedComponents,
     );
     tour.recycle(ws);
     info.recycle(ws);
     ws.give(is_tree);
-    ws.give(tail.aux_vertex_labels);
     let stats = PipelineStats {
         input_edges: g.m(),
         effective_edges: g.m(),
@@ -463,11 +464,12 @@ fn tv_opt_impl(
         LowHighMethod::Auto,
         ws,
         rec,
+        g.edges(),
+        Step::ConnectedComponents,
     );
     tour.recycle(ws);
     info.recycle(ws);
     ws.give(is_tree);
-    ws.give(tail.aux_vertex_labels);
     let stats = PipelineStats {
         input_edges: g.m(),
         effective_edges: g.m(),
@@ -516,56 +518,30 @@ fn tv_filter_impl(
 
     // Step 2 (Filtering): spanning forest F of G − T, then assemble the
     // reduced graph T ∪ F (≤ 2(n−1) edges).
-    let (reduced_edges, reduced_is_tree, reduced_of_orig, forest_rounds) =
-        rec.step(Step::Filtering, || {
-            // Nontree candidates with their original ids. The tree test
-            // is on the parent *pair*, not the edge id: a duplicate of a
-            // tree edge connects its endpoints in G − T without adding
-            // any connectivity beyond T, so letting it into F can
-            // displace a real forest edge and break the certificate
-            // (Lemma 1 assumes a simple graph). Tree-parallel edges are
-            // placed by the condition-1 rule below, which gives each
-            // exactly its tree twin's label.
-            let parent: &[u32] = &bfs.parent;
-            let mut cand_edges: Vec<Edge> = ws.take(m);
-            let mut cand_orig: Vec<u32> = ws.take(m);
-            for (i, &e) in g.edges().iter().enumerate() {
-                if parent[e.u as usize] != e.v && parent[e.v as usize] != e.u {
-                    cand_edges.push(e);
-                    cand_orig.push(i as u32);
-                }
-            }
-            let forest = connected_components_with_ws(pool, n, &cand_edges, tuning.sv, ws);
+    let (reduced_edges, reduced_is_tree, forest_rounds) = rec.step(Step::Filtering, || {
+        // Nontree candidates. The tree test is on the parent *pair*,
+        // not the edge id: a duplicate of a tree edge connects its
+        // endpoints in G − T without adding any connectivity beyond T,
+        // so letting it into F can displace a real forest edge and break
+        // the certificate (Lemma 1 assumes a simple graph). Tree-parallel
+        // edges are placed by the condition-1 rule below, which gives
+        // each exactly its tree twin's label.
+        let parent: &[u32] = &bfs.parent;
+        let mut cand_edges: Vec<Edge> = ws.take(m);
+        cand_edges.extend(
+            g.edges()
+                .iter()
+                .filter(|e| parent[e.u as usize] != e.v && parent[e.v as usize] != e.u),
+        );
+        let forest = connected_components_with_ws(pool, n, &cand_edges, tuning.sv, ws);
 
-            // Reduced edge list: T first, then F.
-            let mut reduced_edges: Vec<Edge> = ws.take(2 * n as usize);
-            let mut reduced_is_tree: Vec<bool> = ws.take(2 * n as usize);
-            let mut reduced_of_orig = ws.take_filled(m, NIL);
-            for v in 0..n {
-                let eid = bfs.parent_eid[v as usize];
-                if eid != NIL {
-                    reduced_of_orig[eid as usize] = reduced_edges.len() as u32;
-                    reduced_edges.push(g.edges()[eid as usize]);
-                    reduced_is_tree.push(true);
-                }
-            }
-            for &ci in &forest.tree_edges {
-                let orig = cand_orig[ci as usize];
-                reduced_of_orig[orig as usize] = reduced_edges.len() as u32;
-                reduced_edges.push(g.edges()[orig as usize]);
-                reduced_is_tree.push(false);
-            }
-            let forest_rounds = forest.rounds;
-            forest.recycle(ws);
-            ws.give(cand_edges);
-            ws.give(cand_orig);
-            (
-                reduced_edges,
-                reduced_is_tree,
-                reduced_of_orig,
-                forest_rounds,
-            )
-        });
+        let forest_edges = forest.tree_edges.iter().map(|&ci| cand_edges[ci as usize]);
+        let (reduced_edges, reduced_is_tree) = certificate(parent, root, forest_edges, ws);
+        let forest_rounds = forest.rounds;
+        forest.recycle(ws);
+        ws.give(cand_edges);
+        (reduced_edges, reduced_is_tree, forest_rounds)
+    });
 
     // Steps 2'–3': Euler tour + tree computations on T.
     let mut tree_edges: Vec<Edge> = ws.take(n as usize);
@@ -577,7 +553,10 @@ fn tv_filter_impl(
         tree_computations_ws(pool, &tour, root, ws)
     });
 
-    // Steps 4–6 on the reduced graph.
+    // Steps 4–6 on the reduced graph, then Alg. 2's step 4: every input
+    // edge, filtered or not, takes the component of its
+    // larger-preorder endpoint (condition 1 holds for any rooted
+    // spanning tree).
     let tail = tv_tail(
         pool,
         n,
@@ -588,38 +567,9 @@ fn tv_filter_impl(
         LowHighMethod::Auto,
         ws,
         rec,
+        g.edges(),
+        Step::Filtering,
     );
-
-    // Step 4 of Alg. 2: place each filtered edge (u, v) into the
-    // component of the tree edge (x, p(x)) of its larger-preorder
-    // endpoint x (condition 1 holds for any rooted spanning tree).
-    // `comp` escapes as the result's `edge_comp`, so it is allocated
-    // plain rather than from the workspace.
-    let mut comp = vec![0u32; m];
-    rec.step(Step::Filtering, || {
-        let comp_s = SharedSlice::new(&mut comp);
-        let labels: &[u32] = &tail.edge_labels;
-        let aux: &[u32] = &tail.aux_vertex_labels;
-        let map: &[u32] = &reduced_of_orig;
-        let pre = &info.preorder;
-        pool.run(|ctx| {
-            for i in ctx.block_range(m) {
-                let r = map[i];
-                let label = if r != NIL {
-                    labels[r as usize]
-                } else {
-                    let e = g.edges()[i];
-                    let x = if pre[e.u as usize] > pre[e.v as usize] {
-                        e.u
-                    } else {
-                        e.v
-                    };
-                    aux[x as usize]
-                };
-                unsafe { comp_s.write(i, label) };
-            }
-        });
-    });
 
     let stats = PipelineStats {
         input_edges: m,
@@ -646,42 +596,64 @@ fn tv_filter_impl(
     bfs.recycle(ws);
     ws.give(reduced_edges);
     ws.give(reduced_is_tree);
-    ws.give(reduced_of_orig);
-    // `tail.edge_labels` is a plain allocation (it is the *result* for
-    // TV-SMP/TV-opt); dropping it here keeps the shelf from growing by
-    // one foreign buffer per run.
-    drop(tail.edge_labels);
-    ws.give(tail.aux_vertex_labels);
-    Ok(finalize(comp, rec.phases().clone(), stats, start))
+    Ok(finalize(
+        tail.edge_labels,
+        rec.phases().clone(),
+        stats,
+        start,
+    ))
+}
+
+/// The certificate T ∪ F of TV-filter and FAST-BCC with its tree flags:
+/// T's n − 1 edges `(p(v), v)` first (so `[..n - 1]` is T), then F.
+pub(crate) fn certificate(
+    parent: &[u32],
+    root: u32,
+    forest: impl Iterator<Item = Edge>,
+    ws: &BccWorkspace,
+) -> (Vec<Edge>, Vec<bool>) {
+    let n = parent.len() as u32;
+    let mut edges: Vec<Edge> = ws.take(2 * n as usize);
+    let mut is_tree: Vec<bool> = ws.take(2 * n as usize);
+    edges.extend(
+        (0..n)
+            .filter(|&v| v != root)
+            .map(|v| Edge::new(parent[v as usize], v)),
+    );
+    is_tree.resize(edges.len(), true);
+    edges.extend(forest);
+    is_tree.resize(edges.len(), false);
+    (edges, is_tree)
 }
 
 /// Output of the shared tail: raw (non-canonical) labels.
 pub(crate) struct TailOutput {
-    /// Label per input edge.
+    /// Label per placed edge.
     pub(crate) edge_labels: Vec<u32>,
-    /// Label per auxiliary vertex; `aux_vertex_labels[v]` for `v < n` is
-    /// the component of tree edge `(v, p(v))` (TV-filter uses this to
-    /// place filtered edges).
-    pub(crate) aux_vertex_labels: Vec<u32>,
-    /// Auxiliary-graph vertex count (n + nontree edges considered).
+    /// Auxiliary-graph vertex count (`n`: one per tree edge).
     pub(crate) aux_vertices: u32,
-    /// Auxiliary-graph edge count (|R'_c|).
+    /// Auxiliary-graph edge count (conditions 2 and 3 of R'_c).
     pub(crate) aux_edges: usize,
     /// SV rounds of the step-6 connectivity run.
     pub(crate) sv_rounds_cc: u32,
 }
 
-/// Steps 4–6: Low-high (fused min/max sweep), Label-edge (fused
-/// count→scan→emit realization of Alg. 1), Connected-components.
+/// Steps 4–6: Low-high (fused min/max sweep), Label-edge (the
+/// contracted auxiliary graph, [`crate::aux_graph`]),
+/// Connected-components — on `edges`, then labels for every edge of
+/// `placed` from the component of its larger-preorder endpoint, timed
+/// as `place_step`.
 ///
-/// `lh_method` selects the low/high kernel: the TV pipelines pass
-/// [`LowHighMethod::Auto`]; FAST-BCC forces the O(n)-space
-/// [`LowHighMethod::LevelSweep`] to keep its space bound.
+/// `placed` is the input graph's edge list: `edges` itself for TV-SMP
+/// and TV-opt (placement is the step-6 write-back), a superset of the
+/// certificate `edges` for TV-filter and FAST-BCC (placement is
+/// Alg. 2's step 4, part of Filtering). `lh_method` selects the
+/// low/high kernel: the TV pipelines pass [`LowHighMethod::Auto`];
+/// FAST-BCC forces the O(n)-space [`LowHighMethod::LevelSweep`] to keep
+/// its space bound.
 ///
-/// All scratch is drawn from `ws`; only `edge_labels` (which becomes
-/// the result for TV-SMP/TV-opt) and `aux_vertex_labels` (returned for
-/// TV-filter's placement pass) survive — callers give them back once
-/// done.
+/// All scratch is drawn from `ws`; only `edge_labels`, which becomes
+/// the result, survives.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn tv_tail(
     pool: &Pool,
@@ -693,9 +665,9 @@ pub(crate) fn tv_tail(
     lh_method: LowHighMethod,
     ws: &BccWorkspace,
     rec: &mut PhaseRecorder,
+    placed: &[Edge],
+    place_step: Step,
 ) -> TailOutput {
-    let m = edges.len();
-
     // Step 4: Low-high.
     let lh = rec.step(Step::LowHigh, || {
         compute_low_high_with_ws(pool, edges, is_tree_edge, info, lh_method, ws)
@@ -707,46 +679,35 @@ pub(crate) fn tv_tail(
     });
     lh.recycle(ws);
 
-    // Step 6: Connected-components of the auxiliary graph, written back
-    // to the input edges.
+    // Step 6: Connected-components of the auxiliary graph.
     let aux_vertices = aux.num_vertices;
     let aux_edges = aux.edges.len();
-    let out = rec.step(Step::ConnectedComponents, || {
-        let cc = connected_components_with_ws(pool, aux.num_vertices, &aux.edges, tuning.sv, ws);
-        let mut edge_labels = vec![0u32; m];
-        {
-            let out = SharedSlice::new(&mut edge_labels);
-            let labels: &[u32] = &cc.label;
-            let ni: &[u32] = &aux.nontree_index;
-            pool.run(|ctx| {
-                for i in ctx.block_range(m) {
-                    let e = edges[i];
-                    let label = if is_tree_edge[i] {
-                        // Aux vertex of a tree edge is its child endpoint.
-                        let c = if info.parent[e.v as usize] == e.u {
-                            e.v
-                        } else {
-                            e.u
-                        };
-                        labels[c as usize]
-                    } else {
-                        labels[(n + ni[i]) as usize]
-                    };
-                    unsafe { out.write(i, label) };
-                }
-            });
-        }
-        ws.give(cc.tree_edges);
-        TailOutput {
-            edge_labels,
-            aux_vertex_labels: cc.label,
-            aux_vertices,
-            aux_edges,
-            sv_rounds_cc: cc.rounds,
-        }
+    let cc = rec.step(Step::ConnectedComponents, || {
+        connected_components_with_ws(pool, n, &aux.edges, tuning.sv, ws)
     });
     aux.recycle(ws);
-    out
+
+    // `edge_labels` escapes as the result, so it is allocated plain
+    // rather than from the workspace.
+    let mut edge_labels = vec![0u32; placed.len()];
+    rec.step(place_step, || {
+        let out = SharedSlice::new(&mut edge_labels);
+        let labels: &[u32] = &cc.label;
+        pool.run(|ctx| {
+            for i in ctx.block_range(placed.len()) {
+                let x = larger_preorder_endpoint(placed[i], &info.preorder);
+                unsafe { out.write(i, labels[x as usize]) };
+            }
+        });
+    });
+    let sv_rounds_cc = cc.rounds;
+    cc.recycle(ws);
+    TailOutput {
+        edge_labels,
+        aux_vertices,
+        aux_edges,
+        sv_rounds_cc,
+    }
 }
 
 /// Canonicalizes labels and stamps the total time.
@@ -933,13 +894,15 @@ mod tests {
         );
         assert!(f.stats.filtered_edges >= 5_000 - 2 * (n as usize - 1));
         assert!(f.stats.bfs_levels >= 2);
-        // Aux graph of the reduced set is tiny relative to TV-opt's.
+        // Both aux graphs have one vertex per tree edge; the reduced
+        // set's has far fewer edges than TV-opt's.
         let o = BccConfig::new(Algorithm::TvOpt)
             .run(&pool, &g)
             .unwrap()
             .result;
         assert_eq!(o.stats.effective_edges, 5_000);
-        assert!(f.stats.aux_vertices < o.stats.aux_vertices);
+        assert_eq!(f.stats.aux_vertices, n);
+        assert_eq!(o.stats.aux_vertices, n);
         assert!(f.stats.aux_edges < o.stats.aux_edges);
         assert!(o.stats.sv_rounds_cc >= 1);
     }
